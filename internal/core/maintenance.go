@@ -161,7 +161,6 @@ func (st *runState) scheduleDemandBurst(i int) {
 	}
 	st.eng.Schedule(sim.Time(start), "demand-burst", func(now sim.Time) {
 		st.res.DemandBursts++
-		st.sm.DemandBursts.Inc()
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDemandBurst,
 			Detail: fmt.Sprintf("hours=%.2f amp=%.3f", hours, amp)})
 		st.scheduleDemandBurst(i + 1)
@@ -208,7 +207,6 @@ func (st *runState) planDrains(now sim.Time, count int) {
 		}
 		picked++
 		st.res.PlannedDrains++
-		st.sm.DrainsPlanned.Inc()
 		if st.plannedDrain == nil {
 			st.plannedDrain = make(map[int]bool)
 		}
@@ -242,7 +240,6 @@ func (st *runState) beginUpgrade(now sim.Time, durHours float64) {
 	rack := st.upgradeCount % racks
 	st.upgradeCount++
 	st.res.UpgradeWindows++
-	st.sm.UpgradeWins.Inc()
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindUpgradeBegin, Rack: rack,
 		Detail: fmt.Sprintf("hours=%.2f", durHours)})
 	var fenced []int
@@ -302,8 +299,6 @@ func (st *runState) growFleet(now sim.Time, m MaintenanceConfig) {
 	}
 	st.res.GrowthBatches++
 	st.res.GrowthDisksAdded += len(ids)
-	st.sm.GrowthBatches.Inc()
-	st.sm.GrowthDisks.Add(uint64(len(ids)))
 	st.res.MigratedBytes += replace.RebalanceOnto(st.cl, ids)
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindGrowth,
 		Detail: fmt.Sprintf("disks=%d", len(ids))})

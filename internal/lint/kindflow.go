@@ -47,7 +47,7 @@ type kindDecl struct {
 
 func runKindFlow(pass *Pass) error {
 	fact := kindFlowFact{}
-	if isTracePkg(pass.Pkg.Path()) {
+	if pkgPathBase(pass.Pkg.Path()) == kindVocab.pkg {
 		fact.Declared = pass.auditKindDecls()
 	} else {
 		fact.Uses = pass.collectKindUses()

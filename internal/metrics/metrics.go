@@ -131,7 +131,10 @@ func (p *Proportion) Estimate() float64 {
 
 // Wilson95 returns the Wilson score 95% interval (lo, hi), which behaves
 // sensibly at the extremes (0 or all losses) where the Wald interval
-// collapses.
+// collapses. The interval always contains the estimate: rounding in
+// center ± half can leave lo a hair above 0 when no trial succeeded, or
+// hi a hair below 1 when every trial did, so the ends are clamped to
+// [0, p̂] and [p̂, 1].
 func (p *Proportion) Wilson95() (lo, hi float64) {
 	if p.Trials == 0 {
 		return 0, 1
@@ -142,13 +145,8 @@ func (p *Proportion) Wilson95() (lo, hi float64) {
 	den := 1 + z2/n
 	center := (ph + z2/(2*n)) / den
 	half := z95 * math.Sqrt(ph*(1-ph)/n+z2/(4*n*n)) / den
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
+	lo = math.Max(0, math.Min(center-half, ph))
+	hi = math.Min(1, math.Max(center+half, ph))
 	return lo, hi
 }
 

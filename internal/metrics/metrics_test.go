@@ -174,6 +174,28 @@ func TestWilsonAtExtremes(t *testing.T) {
 	}
 }
 
+// TestWilsonContainsEstimateAtExtremes sweeps every campaign size up to
+// 2000 at both extremes: the interval must contain p̂, with lo exactly 0
+// when no trial succeeded and hi exactly 1 when every trial did.
+func TestWilsonContainsEstimateAtExtremes(t *testing.T) {
+	for n := 1; n <= 2000; n++ {
+		for _, k := range []int{0, n} {
+			p := Proportion{Successes: k, Trials: n}
+			lo, hi := p.Wilson95()
+			ph := p.Estimate()
+			if !(lo <= ph && ph <= hi) {
+				t.Errorf("k=%d n=%d: [%v, %v] excludes p̂=%v", k, n, lo, hi, ph)
+			}
+			if k == 0 && lo != 0 {
+				t.Errorf("k=0 n=%d: lo = %v, want 0", n, lo)
+			}
+			if k == n && hi != 1 {
+				t.Errorf("k=n=%d: hi = %v, want 1", n, hi)
+			}
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	h, err := NewHistogram(0, 10, 5)
 	if err != nil {

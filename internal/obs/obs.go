@@ -1,6 +1,6 @@
 // Package obs is the simulator's flight recorder: a deterministic,
 // allocation-free observability layer threaded through core, recovery,
-// faults, and objstore.
+// and objstore.
 //
 // It provides four instruments, all strictly read-only with respect to
 // the simulation — enabling any of them leaves RunResult and the trace
@@ -89,10 +89,12 @@ const (
 	MetricDemandBursts  Name = "demand_bursts_total"
 	MetricDrainsPlanned Name = "drains_planned_total"
 	MetricUpgradeWins   Name = "upgrade_windows_total"
+	MetricFencedParks   Name = "fenced_parks_total"
 	MetricGrowthBatches Name = "growth_batches_total"
 	MetricGrowthDisks   Name = "growth_disks_total"
 
-	// Fault-injection probe counters (internal/faults).
+	// Fault-injection probe counters: outcomes of the internal/faults
+	// read probe, counted by the recovery engine that probes.
 	MetricProbeReads     Name = "probe_reads_total"
 	MetricProbeTransient Name = "probe_transient_total"
 	MetricProbeLatent    Name = "probe_latent_total"

@@ -12,76 +12,30 @@ import (
 	"repro/internal/workload"
 )
 
-// Stats aggregates recovery-engine behaviour over one run.
+// Stats holds the recovery engine's per-run distributions. Its counts
+// live in the run's obs.RunCounters (see Engine.SetCounters).
 type Stats struct {
-	// BlocksRebuilt counts completed block reconstructions.
-	BlocksRebuilt int
-	// Redirections counts recovery-target failures that forced the
-	// rebuild to an alternative target (§2.3 "recovery redirection").
-	Redirections int
-	// Resourcings counts rebuilds whose read source failed (disk death,
-	// latent sector error, or exhausted transient retries) and was
-	// replaced by an alternative buddy.
-	Resourcings int
-	// DroppedLost counts rebuilds abandoned because the group lost data
-	// or exhausted every source.
-	DroppedLost int
 	// Window accumulates per-block windows of vulnerability: failure
-	// (not detection) to rebuild completion, in hours.
-	Window metrics.Welford
-	// SparesUsed counts replacement drives activated (SpareDisk engine).
-	SparesUsed int
-	// TransientFaults counts rebuild transfers whose source read failed
-	// transiently (injected fault); Retries counts the backed-off
-	// re-attempts those faults caused.
-	TransientFaults int
-	Retries         int
-	// SpareWaits counts recovery jobs that found the spare pool empty
-	// and had to queue (SpareDisk engine with a finite pool).
-	SpareWaits int
-	// Hedges counts duplicate transfers launched for rebuilds stuck past
-	// the hedge deadline; HedgeWins counts hedges that finished before
-	// their primaries (straggler mitigation).
-	Hedges    int
-	HedgeWins int
-	// Timeouts counts rebuilds hard-aborted past the timeout multiple and
-	// pushed through the retry/re-source/abandon ladder.
-	Timeouts int
-	// SlowFlagged counts disks newly flagged slow by the peer-comparison
-	// detector; Evictions counts disks it evicted (terminal, once each).
-	SlowFlagged int
-	Evictions   int
-	// WindowP50/WindowP99 are streaming quantiles of the same per-block
-	// vulnerability windows Window accumulates — the rebuild-time tail the
-	// fail-slow experiment reports. P² estimators: O(1) memory, no
-	// allocation after newBase.
+	// (not detection) to rebuild completion, in hours. WindowP50 and
+	// WindowP99 are streaming quantiles of the same samples — the
+	// rebuild-time tail the fail-slow experiment reports. P² estimators:
+	// O(1) memory, no allocation after newBase.
+	Window    metrics.Welford
 	WindowP50 metrics.P2Quantile
 	WindowP99 metrics.P2Quantile
-	// Parked counts rebuilds parked against an unreachable endpoint (a
-	// dark rack) instead of being abandoned; CrossRackTransfers and
-	// CrossRackBytes tally completed transfers that crossed the rack
-	// fabric — the repair traffic the oversubscribed spine carries.
-	Parked             int
-	CrossRackTransfers int
-	CrossRackBytes     int64
-	// DegradedReads counts user reads served by k-way reconstruction
-	// during a block's window of vulnerability; DegradedMs accumulates
-	// their latencies (milliseconds) and DegradedP50/DegradedP99 are the
-	// streaming quantiles of the same samples. HealthyP99 is the tail of
-	// the counterfactual healthy-read latencies sampled at the same
-	// instants — the user-visible cost of the window is the gap.
-	DegradedReads int
-	DegradedMs    metrics.Welford
-	DegradedP50   metrics.P2Quantile
-	DegradedP99   metrics.P2Quantile
-	HealthyP99    metrics.P2Quantile
-	// ThrottleSteps counts recovery-rate changes the QoS policy made;
-	// ThrottleMBps accumulates the rate granted at each decision point.
-	ThrottleSteps int
-	ThrottleMBps  metrics.Welford
-	// FencedParks counts rebuilds parked against a write-fenced
-	// (read-only, mid-upgrade) target.
-	FencedParks int
+	// DegradedMs accumulates the latencies (milliseconds) of user reads
+	// served by k-way reconstruction during a block's window of
+	// vulnerability, and DegradedP50/DegradedP99 are the streaming
+	// quantiles of the same samples. HealthyP99 is the tail of the
+	// counterfactual healthy-read latencies sampled at the same instants
+	// — the user-visible cost of the window is the gap.
+	DegradedMs  metrics.Welford
+	DegradedP50 metrics.P2Quantile
+	DegradedP99 metrics.P2Quantile
+	HealthyP99  metrics.P2Quantile
+	// ThrottleMBps accumulates the rate granted at each QoS decision
+	// point.
+	ThrottleMBps metrics.Welford
 }
 
 // FaultModel is the injection surface the engines consult when a rebuild
@@ -122,8 +76,11 @@ type Engine interface {
 	// detector condemns a persistently slow disk. A disabled policy (the
 	// zero value) leaves every code path untouched.
 	SetStraggler(p StragglerPolicy, evict func(now sim.Time, diskID int))
-	// Stats returns the engine's counters.
+	// Stats returns the engine's distributions.
 	Stats() *Stats
+	// SetCounters makes the engine count into c, the run's single tally
+	// set (a standalone engine counts into its own).
+	SetCounters(c *obs.RunCounters)
 	// Name identifies the engine ("farm" or "spare").
 	Name() string
 	// SetObserver installs an optional callback fired when a block
@@ -131,7 +88,7 @@ type Engine interface {
 	// retried after a transient fault ("retry"), for tracing.
 	SetObserver(fn func(now sim.Time, kind trace.Kind, group, rep, diskID int))
 	// SetObservability installs the flight-recorder surfaces: the
-	// pre-resolved metrics bundle (nil restores the no-op sink) and the
+	// pre-resolved histogram bundle (nil restores the no-op sink) and the
 	// rebuild-lifecycle span log (nil disables span accounting).
 	SetObservability(rm *obs.RecoveryMetrics, spans *obs.SpanLog)
 	// InFlight returns the number of tracked block rebuilds (read-only;
@@ -224,6 +181,9 @@ type base struct {
 	// under adaptive recovery, §2.4).
 	bw    workload.BandwidthModel
 	stats Stats
+	// rc is the run's tally set; never nil (newBase gives a standalone
+	// engine its own, core installs the run's via SetCounters).
+	rc *obs.RunCounters
 	// active indexes live rebuilds by the disks they touch.
 	bySource map[int][]*rebuild
 	byTarget map[int][]*rebuild
@@ -255,9 +215,9 @@ type base struct {
 	// hedgeByDisk indexes in-flight hedge transfers by both endpoints so
 	// disk deaths can drop them.
 	hedgeByDisk map[int][]*rebuild
-	// rm is the flight-recorder metrics bundle. Never nil: newBase
-	// installs a sink bundle on a private registry, so record sites need
-	// no branches; SetObservability swaps in the real one.
+	// rm is the flight-recorder histogram bundle. Never nil: newBase
+	// installs a shared-handle sink, so record sites need no branches;
+	// SetObservability swaps in the real one.
 	rm *obs.RecoveryMetrics
 	// spans, when non-nil, receives one lifecycle span per block rebuild.
 	spans *obs.SpanLog
@@ -290,6 +250,7 @@ func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload
 		byTarget:        make(map[int][]*rebuild),
 		perGroupTargets: make(map[int][]int),
 		hedgeByDisk:     make(map[int][]*rebuild),
+		rc:              new(obs.RunCounters),
 	}
 	b.stats.WindowP50 = metrics.NewP2(0.5)
 	b.stats.WindowP99 = metrics.NewP2(0.99)
@@ -301,6 +262,9 @@ func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload
 }
 
 func (b *base) Stats() *Stats { return &b.stats }
+
+// SetCounters implements Engine.
+func (b *base) SetCounters(c *obs.RunCounters) { b.rc = c }
 
 // SetObserver implements Engine.
 func (b *base) SetObserver(fn func(now sim.Time, kind trace.Kind, group, rep, diskID int)) {
@@ -461,17 +425,16 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 	// its queue wait and transfer time into the span now.
 	b.spanEndAttempt(r, now)
 	if b.fm != nil {
-		switch b.fm.ProbeRead(now, r.task.Source, r.task.Group) {
+		switch b.probe(now, r.task.Source, r.task.Group) {
 		case faults.ReadTransient:
-			b.stats.TransientFaults++
-			b.rm.TransientFaults.Inc()
 			b.retryOrResource(now, r)
 			return
 		case faults.ReadLatent:
 			// The damaged source replica has already been unlinked and
 			// queued for repair by the injector's discovery handler
 			// (which may have latched the group lost); this rebuild
-			// switches to another buddy or drains through DroppedLost.
+			// switches to another buddy or drains through the
+			// dropped-rebuild path.
 			r.retries = 0
 			b.resourceChecked(now, r)
 			return
@@ -482,15 +445,13 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 		// The group lost data while this block was in flight; the
 		// reservation stands as wasted space dropped with the group.
 		b.cl.ReleaseTarget(r.task.Target)
-		b.stats.DroppedLost++
-		b.rm.Dropped.Inc()
+		b.rc.RebuildsDropped++
 		b.spanDropped(r, now)
 		b.observe(now, trace.KindDropped, r.task.Group, r.task.Rep, r.task.Target)
 		return
 	}
 	b.cl.PlaceRecovered(r.task.Group, r.task.Rep, r.task.Target)
-	b.stats.BlocksRebuilt++
-	b.rm.BlocksRebuilt.Inc()
+	b.rc.BlocksRebuilt++
 	b.noteCrossRack(r.task.Source, r.task.Target)
 	w := float64(now - r.failedAt)
 	b.stats.Window.Add(w)
@@ -501,6 +462,20 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 	b.observe(now, trace.KindRebuilt, r.task.Group, r.task.Rep, r.task.Target)
 }
 
+// probe classifies a finished transfer's source read through the fault
+// model and counts the outcome.
+func (b *base) probe(now sim.Time, src, group int) faults.Outcome {
+	b.rc.ProbeReads++
+	o := b.fm.ProbeRead(now, src, group)
+	switch o {
+	case faults.ReadTransient:
+		b.rc.TransientFaults++
+	case faults.ReadLatent:
+		b.rc.ProbeLatent++
+	}
+	return o
+}
+
 // abandon drops a rebuild whose group is beyond repair.
 func (b *base) abandon(r *rebuild) {
 	now := b.eng.Now()
@@ -508,8 +483,7 @@ func (b *base) abandon(r *rebuild) {
 	b.sched.Cancel(r.task)
 	b.untrack(r)
 	b.cl.ReleaseTarget(r.task.Target)
-	b.stats.DroppedLost++
-	b.rm.Dropped.Inc()
+	b.rc.RebuildsDropped++
 	b.spanDropped(r, now)
 }
 
@@ -564,8 +538,7 @@ func (b *base) resource(r *rebuild) {
 	}
 	r.task = nt
 	b.track(r)
-	b.stats.Resourcings++
-	b.rm.Resourcings.Inc()
+	b.rc.Resourcings++
 	if r.span != nil {
 		r.span.Resourcings++
 	}
@@ -574,7 +547,7 @@ func (b *base) resource(r *rebuild) {
 
 // resourceChecked re-sources a rebuild whose current source is unusable
 // (latent error or exhausted retries), abandoning it through the
-// DroppedLost path once the fault model's re-sourcing cap is exceeded —
+// dropped-rebuild path once the fault model's re-sourcing cap is exceeded —
 // graceful degradation instead of an unbounded source-hopping loop.
 func (b *base) resourceChecked(now sim.Time, r *rebuild) {
 	r.resourcings++
@@ -598,8 +571,7 @@ func (b *base) retryOrResource(now sim.Time, r *rebuild) {
 		return
 	}
 	r.retries++
-	b.stats.Retries++
-	b.rm.Retries.Inc()
+	b.rc.RebuildRetries++
 	if r.span != nil {
 		r.span.Retries++
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 )
@@ -55,8 +56,8 @@ func TestFARMRebuildsEverything(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run()
-	if f.Stats().BlocksRebuilt != len(lost) {
-		t.Fatalf("rebuilt %d of %d blocks", f.Stats().BlocksRebuilt, len(lost))
+	if f.rc.BlocksRebuilt != len(lost) {
+		t.Fatalf("rebuilt %d of %d blocks", f.rc.BlocksRebuilt, len(lost))
 	}
 	for _, ref := range lost {
 		g := int(ref.Group)
@@ -107,9 +108,11 @@ func TestFARMFasterThanSpare(t *testing.T) {
 				return ids[0]
 			})
 		}
+		var c obs.RunCounters
+		e.SetCounters(&c)
 		h.failAndDetect(e, 0)
 		h.eng.Run()
-		if e.Stats().BlocksRebuilt == 0 {
+		if c.BlocksRebuilt == 0 {
 			t.Fatal("no blocks rebuilt")
 		}
 		return sim.Time(e.Stats().Window.Max())
@@ -132,8 +135,8 @@ func TestSpareDiskSerializesOnOneTarget(t *testing.T) {
 	})
 	lost := h.failAndDetect(e, 0)
 	h.eng.Run()
-	if e.Stats().SparesUsed != 1 {
-		t.Fatalf("spares used = %d", e.Stats().SparesUsed)
+	if e.rc.SparesUsed != 1 {
+		t.Fatalf("spares used = %d", e.rc.SparesUsed)
 	}
 	// All recovered blocks sit on the one spare.
 	for _, ref := range lost {
@@ -173,7 +176,7 @@ func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 	}
 	h.failAndDetect(e, empty)
 	h.eng.Run()
-	if e.Stats().SparesUsed != 0 {
+	if e.rc.SparesUsed != 0 {
 		t.Fatal("spare activated for empty disk")
 	}
 }
@@ -205,7 +208,7 @@ func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 	h.cl.FailDisk(target, float64(now))
 	f.HandleFailure(now, target)
 	h.eng.Run()
-	if f.Stats().Redirections == 0 {
+	if f.rc.Redirections == 0 {
 		t.Fatal("expected at least one redirection")
 	}
 	if err := h.cl.CheckInvariants(); err != nil {
@@ -234,7 +237,7 @@ func TestFARMResourcingOnSourceFailure(t *testing.T) {
 	f.HandleFailure(now, src)
 	f.HandleDetection(now, src, now, lost2)
 	h.eng.Run()
-	if f.Stats().Resourcings == 0 {
+	if f.rc.Resourcings == 0 {
 		t.Fatal("expected at least one re-sourcing")
 	}
 	if h.cl.LostGroups != 0 {
@@ -276,7 +279,7 @@ func TestMirrorDataLossOnDoubleFailureBeforeRebuild(t *testing.T) {
 	if h.cl.LostGroups != dead {
 		t.Fatalf("LostGroups %d, expected %d", h.cl.LostGroups, dead)
 	}
-	if f.Stats().DroppedLost == 0 {
+	if f.rc.RebuildsDropped == 0 {
 		t.Fatal("engine should have dropped rebuilds of lost groups")
 	}
 	if err := h.cl.CheckInvariants(); err != nil {
@@ -324,7 +327,7 @@ func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 	if len(spawned) < 2 {
 		t.Fatal("no replacement spare after spare failure")
 	}
-	if e.Stats().Redirections == 0 {
+	if e.rc.Redirections == 0 {
 		t.Fatal("expected redirections after spare death")
 	}
 	if h.cl.LostGroups != 0 {

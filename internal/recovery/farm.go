@@ -43,8 +43,7 @@ func (f *FARM) HandleDetection(now sim.Time, diskID int, failedAt sim.Time, lost
 // transfer. Returns silently if the group is already beyond repair.
 func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 	if f.cl.GroupLost(group) {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.rc.RebuildsDropped++
 		return
 	}
 	src := f.cl.SourceFor(group, -1)
@@ -54,8 +53,7 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 		src = f.cl.AnySourceFor(group, -1)
 	}
 	if src < 0 {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.rc.RebuildsDropped++
 		return
 	}
 	r := &rebuild{failedAt: failedAt, baseDur: f.blockDuration()}
@@ -64,8 +62,7 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 	if !ok {
 		// Nowhere to put the block (cluster effectively full/dead);
 		// leave the group degraded.
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.rc.RebuildsDropped++
 		f.spanDropped(r, f.eng.Now())
 		return
 	}
@@ -113,15 +110,13 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	f.untrack(r)
 	// No ReleaseTarget: the dead disk's byte accounting is already gone.
 	if f.cl.GroupLost(r.task.Group) {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.rc.RebuildsDropped++
 		f.spanDropped(r, now)
 		return
 	}
 	target, trial, ok := f.pickTarget(r.task.Group, r.task.Rep, r.trial+1)
 	if !ok {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.rc.RebuildsDropped++
 		f.spanDropped(r, now)
 		return
 	}
@@ -133,8 +128,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 		}
 		if src < 0 {
 			f.cl.ReleaseTarget(target)
-			f.stats.DroppedLost++
-			f.rm.Dropped.Inc()
+			f.rc.RebuildsDropped++
 			f.spanDropped(r, now)
 			return
 		}
@@ -149,8 +143,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	r.task = nt
 	r.trial = trial
 	f.track(r)
-	f.stats.Redirections++
-	f.rm.Redirections.Inc()
+	f.rc.Redirections++
 	if r.span != nil {
 		r.span.Redirections++
 	}

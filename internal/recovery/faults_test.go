@@ -63,9 +63,9 @@ func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 	f.SetFaultModel(fm)
 	lost := h.failAndDetect(f, 0)
 	h.eng.Run()
-	st := f.Stats()
-	if st.TransientFaults != 2 || st.Retries != 2 {
-		t.Fatalf("faults=%d retries=%d, want 2/2", st.TransientFaults, st.Retries)
+	st := f.rc
+	if st.TransientFaults != 2 || st.RebuildRetries != 2 {
+		t.Fatalf("faults=%d retries=%d, want 2/2", st.TransientFaults, st.RebuildRetries)
 	}
 	if st.BlocksRebuilt != len(lost) {
 		t.Fatalf("rebuilt %d of %d", st.BlocksRebuilt, len(lost))
@@ -102,18 +102,18 @@ func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run() // must terminate: the caps bound the work
-	st := f.Stats()
+	st := f.rc
 	if st.BlocksRebuilt != 0 {
 		t.Fatalf("rebuilt %d blocks under always-faulting reads", st.BlocksRebuilt)
 	}
-	if st.DroppedLost != len(lost) {
-		t.Fatalf("dropped %d of %d", st.DroppedLost, len(lost))
+	if st.RebuildsDropped != len(lost) {
+		t.Fatalf("dropped %d of %d", st.RebuildsDropped, len(lost))
 	}
 	// Per rebuild: (maxRetries) retries per source, (maxResourcings+1)
 	// sources tried before abandonment.
 	wantRetries := len(lost) * fm.maxRetries * (fm.maxResourcings + 1)
-	if st.Retries != wantRetries {
-		t.Fatalf("retries = %d, want %d", st.Retries, wantRetries)
+	if st.RebuildRetries != wantRetries {
+		t.Fatalf("retries = %d, want %d", st.RebuildRetries, wantRetries)
 	}
 	if st.Resourcings != len(lost)*fm.maxResourcings {
 		t.Fatalf("resourcings = %d, want %d", st.Resourcings, len(lost)*fm.maxResourcings)
@@ -139,7 +139,7 @@ func TestLatentOutcomeForcesResource(t *testing.T) {
 	f.SetFaultModel(fm)
 	lost := h.failAndDetect(f, 0)
 	h.eng.Run()
-	st := f.Stats()
+	st := f.rc
 	if st.Resourcings != 1 {
 		t.Fatalf("resourcings = %d, want 1", st.Resourcings)
 	}
@@ -168,7 +168,7 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	lost := h.failAndDetect(f, 0)
 	// Step until the scripted transient fires: one rebuild is now parked
 	// in its backoff window.
-	for f.Stats().TransientFaults == 0 {
+	for f.rc.TransientFaults == 0 {
 		if !h.eng.Step() {
 			t.Fatal("queue drained before the transient fault fired")
 		}
@@ -188,12 +188,12 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	h.cl.FailDisk(victim, float64(h.eng.Now()))
 	f.HandleFailure(h.eng.Now(), victim)
 	h.eng.Run()
-	st := f.Stats()
+	st := f.rc
 	// Every block of disk 0 must be accounted for exactly once; the
 	// victim disk's own blocks were never handed to the engine, so the
 	// only flows are rebuilt or dropped-with-lost-group.
-	if st.BlocksRebuilt+st.DroppedLost != len(lost) {
-		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.DroppedLost, len(lost))
+	if st.BlocksRebuilt+st.RebuildsDropped != len(lost) {
+		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.RebuildsDropped, len(lost))
 	}
 	if st.Redirections == 0 {
 		t.Fatal("target death during backoff did not redirect")
@@ -223,7 +223,7 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 	if len(lost0) == 0 || len(lost1) == 0 {
 		t.Fatal("test disks held no blocks")
 	}
-	if e.Stats().SpareWaits == 0 {
+	if e.rc.QueuedSpareJobs == 0 {
 		t.Fatal("second failure did not queue for the exhausted pool")
 	}
 	if free, queued := e.SparePoolFree(); free != 0 || queued != 1 {
@@ -233,11 +233,11 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 	if _, queued := e.SparePoolFree(); queued != 0 {
 		t.Fatalf("queue not drained: %d items", queued)
 	}
-	st := e.Stats()
+	st := e.rc
 	// Both disks' blocks resolve: rebuilt, or dropped because the group
 	// lost both replicas across the two failures.
-	if st.BlocksRebuilt+st.DroppedLost < len(lost0)+len(lost1) {
-		t.Fatalf("rebuilt %d + dropped %d < lost %d", st.BlocksRebuilt, st.DroppedLost,
+	if st.BlocksRebuilt+st.RebuildsDropped < len(lost0)+len(lost1) {
+		t.Fatalf("rebuilt %d + dropped %d < lost %d", st.BlocksRebuilt, st.RebuildsDropped,
 			len(lost0)+len(lost1))
 	}
 	if st.SparesUsed != 2 {
@@ -271,8 +271,8 @@ func TestSpareHandleBlockLossRepairsInPlace(t *testing.T) {
 	h.cl.CorruptBlock(cluster.BlockRef{Group: int32(group), Rep: int32(rep)})
 	e.HandleBlockLoss(0, 0, diskID, group, rep)
 	h.eng.Run()
-	if e.Stats().BlocksRebuilt != 1 {
-		t.Fatalf("rebuilt %d, want 1", e.Stats().BlocksRebuilt)
+	if e.rc.BlocksRebuilt != 1 {
+		t.Fatalf("rebuilt %d, want 1", e.rc.BlocksRebuilt)
 	}
 	if got := int(h.cl.GroupDiskOf(group, rep)); got != diskID {
 		t.Fatalf("repair landed on disk %d, want in-place on %d", got, diskID)

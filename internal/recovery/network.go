@@ -76,10 +76,8 @@ func (b *base) noteCrossRack(src, tgt int) {
 	if b.net == nil || b.net.SameRack(src, tgt) {
 		return
 	}
-	b.stats.CrossRackTransfers++
-	b.stats.CrossRackBytes += b.cl.BlockBytes
-	b.rm.CrossRackTransfers.Inc()
-	b.rm.CrossRackBytes.Add(uint64(b.cl.BlockBytes))
+	b.rc.CrossRackTransfers++
+	b.rc.CrossRackBytes += b.cl.BlockBytes
 }
 
 // parkTracked parks a tracked rebuild in place: timers disarmed, kept
@@ -92,8 +90,7 @@ func (b *base) parkTracked(r *rebuild) {
 	r.parked = true
 	b.spanEndAttempt(r, b.eng.Now())
 	b.cancelTimers(r)
-	b.stats.Parked++
-	b.rm.ParkedTransfers.Inc()
+	b.rc.ParkedTransfers++
 	b.observe(b.eng.Now(), trace.KindRebuildParked, r.task.Group, r.task.Rep, r.task.Target)
 }
 
@@ -204,8 +201,7 @@ func (b *base) resumeParked(now sim.Time, r *rebuild) {
 	b.sched.Cancel(r.task)
 	b.untrack(r)
 	if src != r.task.Source {
-		b.stats.Resourcings++
-		b.rm.Resourcings.Inc()
+		b.rc.Resourcings++
 		if r.span != nil {
 			r.span.Resourcings++
 		}

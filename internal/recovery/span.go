@@ -10,9 +10,8 @@ import (
 // feeding the obs flight recorder. Everything here is strictly
 // observational — spans and metrics never influence a scheduling
 // decision — and everything is dormant unless SetObservability installs
-// a span log (per-rebuild span accounting) or a metrics bundle
-// (counters/histograms; a sink bundle is installed by default so record
-// sites need no nil checks).
+// a span log (per-rebuild span accounting) or a histogram bundle (a sink
+// bundle is installed by default so record sites need no nil checks).
 //
 // Accounting model: a rebuild is one span; each (re)submission of its
 // primary task is one attempt. When an attempt ends — completion,
@@ -25,7 +24,7 @@ import (
 // next attempt.
 
 // SetObservability implements Engine: it installs the pre-resolved
-// metrics bundle (nil restores the default sink) and the span log (nil
+// histogram bundle (nil restores the default sink) and the span log (nil
 // disables span accounting). With spans enabled the scheduler's OnStart
 // hook is armed, which also emits the transfer-start trace event — new
 // event kinds appear in the transcript only when spans are on, so

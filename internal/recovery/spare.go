@@ -108,8 +108,7 @@ func (s *SpareDisk) takeSpare() bool {
 
 // queueSpareWork parks recovery work until a spare arrives.
 func (s *SpareDisk) queueSpareWork(now sim.Time, failed int, blocks []pendingBlock) {
-	s.stats.SpareWaits++
-	s.rm.SpareWaits.Inc()
+	s.rc.QueuedSpareJobs++
 	s.waiting = append(s.waiting, spareWork{failed: failed, blocks: blocks})
 	s.observe(now, trace.KindSpareQueued, -1, -1, failed)
 }
@@ -162,8 +161,7 @@ func (s *SpareDisk) activateSpare(now sim.Time, failed int) int {
 	s.sched.Grow(s.cl.NumDisks())
 	s.spareFor[failed] = spare
 	s.spareRole[spare] = failed
-	s.stats.SparesUsed++
-	s.rm.SparesUsed.Inc()
+	s.rc.SparesUsed++
 	return spare
 }
 
@@ -177,8 +175,7 @@ func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, sp *o
 	}
 	r := &rebuild{failedAt: failedAt, baseDur: s.blockDuration(), span: sp}
 	if s.cl.GroupLost(group) {
-		s.stats.DroppedLost++
-		s.rm.Dropped.Inc()
+		s.rc.RebuildsDropped++
 		s.spanDropped(r, s.eng.Now())
 		return
 	}
@@ -187,16 +184,14 @@ func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, sp *o
 		src = s.cl.AnySourceFor(group, spare)
 	}
 	if src < 0 {
-		s.stats.DroppedLost++
-		s.rm.Dropped.Inc()
+		s.rc.RebuildsDropped++
 		s.spanDropped(r, s.eng.Now())
 		return
 	}
 	if !s.cl.ReserveTarget(spare) {
 		// The spare cannot be full in the paper's regime (a fresh drive
 		// absorbing at most one failed drive's data); treat as dropped.
-		s.stats.DroppedLost++
-		s.rm.Dropped.Inc()
+		s.rc.RebuildsDropped++
 		s.spanDropped(r, s.eng.Now())
 		return
 	}
@@ -228,8 +223,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 	}
 	r := &rebuild{failedAt: failedAt, baseDur: s.blockDuration(), span: sp}
 	if s.cl.GroupLost(group) {
-		s.stats.DroppedLost++
-		s.rm.Dropped.Inc()
+		s.rc.RebuildsDropped++
 		s.spanDropped(r, now)
 		return
 	}
@@ -239,8 +233,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 	} else {
 		t, _, ok := s.pickTarget(group, rep, 0)
 		if !ok {
-			s.stats.DroppedLost++
-			s.rm.Dropped.Inc()
+			s.rc.RebuildsDropped++
 			s.spanDropped(r, now)
 			return
 		}
@@ -252,8 +245,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 	}
 	if src < 0 {
 		s.cl.ReleaseTarget(target)
-		s.stats.DroppedLost++
-		s.rm.Dropped.Inc()
+		s.rc.RebuildsDropped++
 		s.spanDropped(r, now)
 		return
 	}
@@ -285,13 +277,11 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 					s.sched.Cancel(r.task)
 					s.untrack(r)
 					if s.cl.GroupLost(r.task.Group) {
-						s.stats.DroppedLost++
-						s.rm.Dropped.Inc()
+						s.rc.RebuildsDropped++
 						s.spanDropped(r, now)
 						continue
 					}
-					s.stats.Redirections++
-					s.rm.Redirections.Inc()
+					s.rc.Redirections++
 					if r.span != nil {
 						r.span.Redirections++
 					}
@@ -305,13 +295,11 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 					s.sched.Cancel(r.task)
 					s.untrack(r)
 					if s.cl.GroupLost(r.task.Group) {
-						s.stats.DroppedLost++
-						s.rm.Dropped.Inc()
+						s.rc.RebuildsDropped++
 						s.spanDropped(r, now)
 						continue
 					}
-					s.stats.Redirections++
-					s.rm.Redirections.Inc()
+					s.rc.Redirections++
 					if r.span != nil {
 						r.span.Redirections++
 					}
@@ -340,13 +328,11 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 		s.sched.Cancel(r.task)
 		s.untrack(r)
 		if s.cl.GroupLost(r.task.Group) {
-			s.stats.DroppedLost++
-			s.rm.Dropped.Inc()
+			s.rc.RebuildsDropped++
 			s.spanDropped(r, now)
 			continue
 		}
-		s.stats.Redirections++
-		s.rm.Redirections.Inc()
+		s.rc.Redirections++
 		if r.span != nil {
 			r.span.Redirections++
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -195,7 +196,7 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run()
-	st := f.Stats()
+	st := f.rc
 	if st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Fatalf("hedges=%d wins=%d, want both > 0", st.Hedges, st.HedgeWins)
 	}
@@ -211,8 +212,8 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 	// The hedged rebuilds must beat the crawling source's 64x transfer:
 	// the worst window stays well under the crawl duration.
 	crawl := 64 * float64(f.blockDuration())
-	if st.Window.Max() >= crawl {
-		t.Fatalf("worst window %v did not beat the crawl %v", st.Window.Max(), crawl)
+	if f.Stats().Window.Max() >= crawl {
+		t.Fatalf("worst window %v did not beat the crawl %v", f.Stats().Window.Max(), crawl)
 	}
 }
 
@@ -220,7 +221,7 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 // timeout aborts transfers stuck on the crawling source and the ladder
 // re-sources them to a healthy buddy.
 func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
-	run := func(timeouts float64) Stats {
+	run := func(timeouts float64) (obs.RunCounters, Stats) {
 		h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
 		f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16))
 		f.SetStraggler(StragglerPolicy{
@@ -232,7 +233,7 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 		h.cl.Disks[1].Slowdown = 64
 		lost := h.failAndDetect(f, 0)
 		h.eng.Run()
-		st := f.Stats()
+		st := f.rc
 		if st.BlocksRebuilt != len(lost) {
 			t.Fatalf("rebuilt %d of %d (timeouts=%v)", st.BlocksRebuilt, len(lost), timeouts)
 		}
@@ -242,12 +243,12 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 		if err := h.cl.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return *st
+		return *st, *f.Stats()
 	}
-	off := run(-1)
-	on := run(3)
-	if on.Timeouts == 0 || on.Resourcings == 0 {
-		t.Fatalf("timeouts=%d resourcings=%d, want both > 0", on.Timeouts, on.Resourcings)
+	_, off := run(-1)
+	onc, on := run(3)
+	if onc.RebuildTimeouts == 0 || onc.Resourcings == 0 {
+		t.Fatalf("timeouts=%d resourcings=%d, want both > 0", onc.RebuildTimeouts, onc.Resourcings)
 	}
 	// Same placement, same failure: aborting transfers stuck on the
 	// crawling source must shrink the mean vulnerability window. (Blocks
@@ -273,7 +274,7 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	}, nil)
 	h.cl.Disks[1].Slowdown = 64
 	lost := h.failAndDetect(f, 0)
-	for f.Stats().Hedges == 0 {
+	for f.rc.Hedges == 0 {
 		if !h.eng.Step() {
 			t.Fatal("queue drained before any hedge launched")
 		}
@@ -293,9 +294,9 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	h.cl.FailDisk(victim, float64(h.eng.Now()))
 	f.HandleFailure(h.eng.Now(), victim)
 	h.eng.Run()
-	st := f.Stats()
-	if st.BlocksRebuilt+st.DroppedLost != len(lost) {
-		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.DroppedLost, len(lost))
+	st := f.rc
+	if st.BlocksRebuilt+st.RebuildsDropped != len(lost) {
+		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.RebuildsDropped, len(lost))
 	}
 	if tracked(&f.base) != 0 || hedgesTracked(&f.base) != 0 {
 		t.Fatal("rebuilds or hedges leaked in the indexes")
@@ -326,12 +327,12 @@ func TestEvictionCallbackFires(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run()
-	st := f.Stats()
+	st := f.rc
 	if st.SlowFlagged == 0 {
 		t.Fatal("crawling disk never flagged")
 	}
-	if st.Evictions != 1 || len(evicted) != 1 || evicted[0] != 1 {
-		t.Fatalf("evictions=%d callback=%v, want exactly disk 1 once", st.Evictions, evicted)
+	if st.SlowEvicted != 1 || len(evicted) != 1 || evicted[0] != 1 {
+		t.Fatalf("evictions=%d callback=%v, want exactly disk 1 once", st.SlowEvicted, evicted)
 	}
 	if err := h.cl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -342,7 +343,11 @@ func TestEvictionCallbackFires(t *testing.T) {
 // against a run that never called SetStraggler — same stats, block for
 // block.
 func TestDisabledPolicyIsInert(t *testing.T) {
-	run := func(install bool) Stats {
+	type outcome struct {
+		stats  Stats
+		counts obs.RunCounters
+	}
+	run := func(install bool) outcome {
 		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
 		f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
 		if install {
@@ -350,7 +355,7 @@ func TestDisabledPolicyIsInert(t *testing.T) {
 		}
 		h.failAndDetect(f, 0)
 		h.eng.Run()
-		return f.base.stats
+		return outcome{f.base.stats, *f.rc}
 	}
 	a, b := run(false), run(true)
 	if a != b {
